@@ -53,6 +53,7 @@ from repro.api import (
     RuntimeConfig,
     Slo,
     UserRequest,
+    WindowedHistogram,
     build_shopping_scenario,
 )
 from repro.experiments.harness import Sweep
@@ -144,14 +145,57 @@ def worst_window(report):
     return max(report.latency_windows().series(), key=lambda s: s.p99)
 
 
-def window_series_ms(report):
-    """Per-window {index: (p50, p95, p99)} of simulated latency, in ms."""
-    series = {}
-    for stats in report.latency_windows().series():
-        series[stats.index] = (
-            stats.p50 * 1e3, stats.p95 * 1e3, stats.p99 * 1e3
-        )
-    return series
+def window_series_ms(windows):
+    """Per-window {index: (p50, p95, p99)} of latency, in ms, for the
+    windows of a :class:`WindowedHistogram` that hold samples."""
+    return {
+        stats.index: (stats.p50 * 1e3, stats.p95 * 1e3, stats.p99 * 1e3)
+        for stats in windows.series()
+        if stats.count
+    }
+
+
+def tail_latency_sweep(arms):
+    """The per-window series of every arm ({name: window_series_ms(...)}).
+
+    A window becomes a point when some arm has samples in it, and an arm
+    contributes its ``<name>_p50/p95/p99_ms`` keys only to the windows
+    where it has samples: an empty window is missing, never 0 ms.
+    """
+    sweep = Sweep("tail_latency", x_label="window")
+    for index in sorted(set().union(*arms.values())):
+        values = {}
+        for name, series in arms.items():
+            if index in series:
+                p50, p95, p99 = series[index]
+                values[f"{name}_p50_ms"] = p50
+                values[f"{name}_p95_ms"] = p95
+                values[f"{name}_p99_ms"] = p99
+        sweep.add(index, **values)
+    return sweep
+
+
+def test_tail_latency_sweep_leaves_out_empty_windows():
+    static = WindowedHistogram("static", window_seconds=WINDOW_SECONDS)
+    static.observe(1.0, at=0.0)
+    static.observe(2.0, at=2 * WINDOW_SECONDS)  # window 1 stays empty
+    adaptive = WindowedHistogram("adaptive", window_seconds=WINDOW_SECONDS)
+    adaptive.observe(0.5, at=WINDOW_SECONDS)
+
+    static_series = window_series_ms(static)
+    assert sorted(static_series) == [0, 2]
+    sweep = tail_latency_sweep({
+        "static": static_series,
+        "adaptive": window_series_ms(adaptive),
+    })
+    assert [point.x for point in sweep.points] == [0, 1, 2]
+    keys = [sorted(point.values) for point in sweep.points]
+    static_keys = ["static_p50_ms", "static_p95_ms", "static_p99_ms"]
+    adaptive_keys = ["adaptive_p50_ms", "adaptive_p95_ms", "adaptive_p99_ms"]
+    assert keys == [static_keys, adaptive_keys, static_keys]
+    assert all(
+        value > 0.0 for point in sweep.points for value in point.values.values()
+    )
 
 
 def test_adaptive_admission_tail_latency(benchmark, emit):
@@ -167,17 +211,10 @@ def test_adaptive_admission_tail_latency(benchmark, emit):
     adaptive_worst = worst_window(adaptive_report)
 
     # --- per-window p50/p95/p99 series, both arms, to JSON -----------------
-    static_windows = window_series_ms(static_report)
-    adaptive_windows = window_series_ms(adaptive_report)
-    sweep = Sweep("tail_latency", x_label="window")
-    for index in sorted(set(static_windows) | set(adaptive_windows)):
-        s50, s95, s99 = static_windows.get(index, (0.0, 0.0, 0.0))
-        a50, a95, a99 = adaptive_windows.get(index, (0.0, 0.0, 0.0))
-        sweep.add(
-            index,
-            static_p50_ms=s50, static_p95_ms=s95, static_p99_ms=s99,
-            adaptive_p50_ms=a50, adaptive_p95_ms=a95, adaptive_p99_ms=a99,
-        )
+    sweep = tail_latency_sweep({
+        "static": window_series_ms(static_report.latency_windows()),
+        "adaptive": window_series_ms(adaptive_report.latency_windows()),
+    })
 
     slo = Slo(p99_ms=SLO_MS)
     rows = [

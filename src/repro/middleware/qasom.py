@@ -15,14 +15,12 @@ runtime's: :meth:`submit` (request → :class:`~repro.runtime.handle.RunHandle`,
 processed inline) and :meth:`run` (request → :class:`RunResult`).  Code
 written against it moves to the pooled
 :class:`~repro.runtime.runtime.MiddlewareRuntime` without changes.  The
-pre-redesign entrypoints (``compose`` / ``compose_ranked`` / ``execute``)
-remain as deprecated shims — see the "Public API & migration" section of
-``docs/ARCHITECTURE.md``.
+"Public API & migration" section of ``docs/ARCHITECTURE.md`` maps the
+removed pre-redesign entrypoints onto this surface.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -50,7 +48,7 @@ from repro.observability import core as observability_core
 from repro.qos.sla import ComplianceTracker, derive_slas
 from repro.resilience.breaker import BreakerRegistry
 from repro.resilience.degradation import PartialExecutionReport
-from repro.runtime.handle import RunHandle, RunSpec, completed_handle
+from repro.runtime.handle import RunHandle, RunSpec
 from repro.env.environment import PervasiveEnvironment
 
 
@@ -389,28 +387,26 @@ class QASOM:
             request=request, plan=plan, execute=execute, adapt=adapt,
             ranked=ranked, best_effort=best_effort, track_sla=track_sla,
         )
-        submitted_sim = self.environment.clock.now()
-        context = (
+        # The handle exists from entry, so its wall-clock stamps cover the
+        # whole inline run; the simulated-clock stamps mirror what the
+        # concurrent runtime records on pooled handles.
+        handle = RunHandle(spec)
+        handle._mark_running()
+        handle.submitted_sim = self.environment.clock.now()
+        handle.trace_context = (
             TraceContext.mint() if self.observability.enabled else None
         )
-
-        def stamped(handle):
-            # Simulated-clock latency annotations, mirroring what the
-            # concurrent runtime stamps on pooled handles.
-            handle.trace_context = context
-            handle.submitted_sim = submitted_sim
-            handle.finished_sim = self.environment.clock.now()
-            return handle
-
         task_name = (
             spec.request.task.name if spec.request is not None
             else spec.plan.task.name
         )
+        result: Optional[RunResult] = None
+        plans: Optional[List[CompositionPlan]] = None
         # Mirror the pooled runtime's span shape: one ``runtime.request``
         # root per submission, every descendant carrying the minted trace
         # id — so serial and pooled runs assemble into identical
         # one-tree-per-request traces.
-        with self.observability.adopt(context):
+        with self.observability.adopt(handle.trace_context):
             with self.observability.span(
                 "runtime.request", task=task_name, execute=spec.execute,
                 inline=True,
@@ -419,22 +415,22 @@ class QASOM:
                     plans = self._compose_ranked_plans(
                         spec.request, k=spec.ranked
                     )
-                    request_span.set(status="done")
-                    return stamped(completed_handle(spec, plans=plans))
-                if spec.plan is not None:
-                    chosen = spec.plan
                 else:
-                    chosen = self._compose_plan(
-                        spec.request, best_effort=spec.best_effort
-                    )
-                if not spec.execute:
-                    request_span.set(status="done")
-                    return stamped(completed_handle(spec, plans=[chosen]))
-                result = self._execute_plan(
-                    chosen, adapt=spec.adapt, track_sla=spec.track_sla
-                )
+                    chosen = spec.plan
+                    if chosen is None:
+                        chosen = self._compose_plan(
+                            spec.request, best_effort=spec.best_effort
+                        )
+                    if spec.execute:
+                        result = self._execute_plan(
+                            chosen, adapt=spec.adapt, track_sla=spec.track_sla
+                        )
+                    else:
+                        plans = [chosen]
                 request_span.set(status="done")
-        return stamped(completed_handle(spec, result=result))
+        handle.finished_sim = self.environment.clock.now()
+        handle._complete(result, plans)
+        return handle
 
     def run(
         self,
@@ -459,42 +455,3 @@ class QASOM:
         if self.observability.enabled:
             result.trace = run_span
         return result
-
-    # ------------------------------------------------------------------
-    # deprecated pre-redesign entrypoints (thin shims)
-    # ------------------------------------------------------------------
-    def compose(
-        self, request: UserRequest, best_effort: bool = False
-    ) -> CompositionPlan:
-        """Deprecated: use ``submit(request, execute=False).plan()``."""
-        warnings.warn(
-            "QASOM.compose() is deprecated; use "
-            "submit(request, execute=False).plan()",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self._compose_plan(request, best_effort=best_effort)
-
-    def compose_ranked(
-        self, request: UserRequest, k: int = 3
-    ) -> List[CompositionPlan]:
-        """Deprecated: use ``submit(request, execute=False, ranked=k)
-        .alternatives()``."""
-        warnings.warn(
-            "QASOM.compose_ranked() is deprecated; use "
-            "submit(request, execute=False, ranked=k).alternatives()",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self._compose_ranked_plans(request, k=k)
-
-    def execute(
-        self,
-        plan: CompositionPlan,
-        adapt: bool = True,
-        track_sla: bool = False,
-    ) -> RunResult:
-        """Deprecated: use ``submit(plan=plan).result()``."""
-        warnings.warn(
-            "QASOM.execute() is deprecated; use submit(plan=plan).result()",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self._execute_plan(plan, adapt=adapt, track_sla=track_sla)

@@ -215,7 +215,7 @@ class TestKeywordOnlyConstruction:
 
 
 class TestDeprecatedShims:
-    """compose/compose_ranked/execute still work, under DeprecationWarning."""
+    """The removed shims stay removed: the public surface is warning-free."""
 
     @staticmethod
     def _middleware():
@@ -242,28 +242,6 @@ class TestDeprecatedShims:
                               weights={n: 1.0 for n in props})
         return middleware, request
 
-    def test_compose_warns_and_delegates(self):
-        middleware, request = self._middleware()
-        with pytest.warns(DeprecationWarning, match="submit"):
-            plan = middleware.compose(request)
-        assert plan.feasible == middleware.submit(
-            request, execute=False
-        ).plan().feasible
-
-    def test_compose_ranked_warns_and_delegates(self):
-        middleware, request = self._middleware()
-        with pytest.warns(DeprecationWarning, match="submit"):
-            proposals = middleware.compose_ranked(request, k=2)
-        assert proposals
-        assert proposals == sorted(proposals, key=lambda p: -p.utility)
-
-    def test_execute_warns_and_delegates(self):
-        middleware, request = self._middleware()
-        plan = middleware.submit(request, execute=False).plan()
-        with pytest.warns(DeprecationWarning, match="submit"):
-            result = middleware.execute(plan)
-        assert result.report is not None
-
     def test_internal_modules_raise_no_deprecation_warnings(self):
         """An end-to-end run through the new surface is shim-free."""
         import warnings
@@ -275,3 +253,52 @@ class TestDeprecatedShims:
             handle = middleware.submit(request, execute=False)
             assert handle.plan() is not None
         assert result.plan is not None
+
+
+#: Runs in a fresh interpreter: import the public API, make one QASSA
+#: selection, then print every top-level package that got imported and
+#: is neither the standard library nor ``repro`` itself.
+_STDLIB_ONLY_PROBE = """
+import sys
+preloaded = set(sys.modules)
+from repro.api import (
+    QASSA, STANDARD_PROPERTIES, CandidateSets, ServiceGenerator, Task,
+    UserRequest, leaf, sequence,
+)
+props = {n: STANDARD_PROPERTIES[n] for n in ("response_time", "cost")}
+generator = ServiceGenerator(props, seed=3)
+task = Task("probe", sequence(leaf("A", "task:A"), leaf("B", "task:B")))
+candidates = CandidateSets(task, {
+    "A": list(generator.candidates("task:A", 12)),
+    "B": list(generator.candidates("task:B", 12)),
+})
+request = UserRequest(task=task, weights={n: 1.0 for n in props})
+assert QASSA(props).select(request, candidates).feasible
+loaded = {name.split(".")[0] for name in set(sys.modules) - preloaded}
+# ``__mp_main__`` is multiprocessing's alias of ``__main__``.
+print(sorted(
+    name for name in loaded - set(sys.stdlib_module_names) - {"repro"}
+    if not (name.startswith("__") and name.endswith("__"))
+))
+"""
+
+
+class TestDependencies:
+    def test_api_and_selection_import_only_the_stdlib(self):
+        """The package is pure stdlib: importing the API and selecting a
+        composition pulls in no third-party module (and its memory)."""
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", _STDLIB_ONLY_PROBE],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"

@@ -259,6 +259,27 @@ class TestErrors:
             aggregate_values(RESPONSE_TIME, SEQ3, {"A": 1.0})
 
 
+SEQ_TASK = Task("t", sequence(leaf("A"), leaf("B")))
+#: Every pattern kind in one tree; the conditional and loop resolve
+#: differently under each aggregation approach.
+PATTERN_TASK = Task("patterns", sequence(
+    leaf("A"),
+    parallel(leaf("B"), leaf("C")),
+    conditional(leaf("D"), leaf("E"), probabilities=(0.25, 0.75)),
+    loop(leaf("F"), max_iterations=4, expected_iterations=2.5),
+))
+#: (best, worst) per activity.  Time overlaps under the parallel (max)
+#: while cost is paid by both branches (sum).
+PATTERN_TIMES = {
+    "A": (10.0, 50.0), "B": (20.0, 80.0), "C": (30.0, 40.0),
+    "D": (4.0, 8.0), "E": (8.0, 16.0), "F": (2.0, 6.0),
+}
+PATTERN_COSTS = {
+    "A": (1.0, 5.0), "B": (2.0, 4.0), "C": (3.0, 3.0),
+    "D": (2.0, 4.0), "E": (4.0, 8.0), "F": (1.0, 2.0),
+}
+
+
 class TestVectorAggregation:
     def test_aggregate_composition_vector(self):
         props = {"response_time": RESPONSE_TIME, "availability": AVAILABILITY}
@@ -271,12 +292,35 @@ class TestVectorAggregation:
         assert result["response_time"] == 300.0
         assert result["availability"] == pytest.approx(0.72)
 
-    def test_aggregation_bounds(self):
-        task = Task("t", sequence(leaf("A"), leaf("B")))
-        extremes = {"A": (10.0, 50.0), "B": (20.0, 80.0)}
-        best, worst = aggregation_bounds(task, RESPONSE_TIME, extremes)
-        assert best == 30.0
-        assert worst == 130.0
+    @pytest.mark.parametrize(
+        "task, prop, extremes, approach, expected",
+        [
+            (SEQ_TASK, RESPONSE_TIME, {"A": (10.0, 50.0), "B": (20.0, 80.0)},
+             AggregationApproach.PESSIMISTIC, (30.0, 130.0)),
+            (PATTERN_TASK, RESPONSE_TIME, PATTERN_TIMES,
+             AggregationApproach.PESSIMISTIC, (56.0, 170.0)),
+            (PATTERN_TASK, RESPONSE_TIME, PATTERN_TIMES,
+             AggregationApproach.OPTIMISTIC, (46.0, 144.0)),
+            (PATTERN_TASK, RESPONSE_TIME, PATTERN_TIMES,
+             AggregationApproach.MEAN, (52.0, 159.0)),
+            (PATTERN_TASK, COST, PATTERN_COSTS,
+             AggregationApproach.PESSIMISTIC, (14.0, 28.0)),
+            (PATTERN_TASK, COST, PATTERN_COSTS,
+             AggregationApproach.OPTIMISTIC, (9.0, 18.0)),
+            (PATTERN_TASK, COST, PATTERN_COSTS,
+             AggregationApproach.MEAN, (12.0, 24.0)),
+        ],
+        ids=[
+            "sequence",
+            "patterns-time-pessimistic", "patterns-time-optimistic",
+            "patterns-time-mean",
+            "patterns-cost-pessimistic", "patterns-cost-optimistic",
+            "patterns-cost-mean",
+        ],
+    )
+    def test_aggregation_bounds(self, task, prop, extremes, approach, expected):
+        # Exact float equality: every intermediate value is dyadic.
+        assert aggregation_bounds(task, prop, extremes, approach) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -95,6 +95,20 @@ class TestExecute:
         assert result.report.succeeded or result.adaptations
 
 
+class TestInlineSubmitLatency:
+    """An inline handle's wall stamps span the whole submission."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"execute": False}, {}, {"execute": False, "ranked": 2}],
+        ids=["plan-only", "executing", "ranked"],
+    )
+    def test_handle_covers_selection(self, middleware, scenario, kwargs):
+        handle = middleware.submit(scenario.request, **kwargs)
+        assert handle.total_seconds >= handle.plan().statistics.elapsed_seconds
+        assert 0.0 <= handle.queue_seconds <= handle.total_seconds
+
+
 class TestConfig:
     def test_custom_config_threaded_through(self, scenario):
         from repro.composition.aggregation import AggregationApproach
