@@ -13,8 +13,15 @@ Twenty churn steps each replace one provider in one activity's pool
   (the middleware's ``incremental_selection`` default);
 * **cold** — a fresh, cache-less ``QASSA`` per step.
 
-Assertions: byte-equal plans on every step, total speedup >= 3x, and a
-local-phase hit rate >= 0.8 (4 unchanged activities out of 5 per step).
+Assertions: byte-equal plans on every step, a local-phase speedup >= 3x,
+and a local-phase hit rate >= 0.8 (4 unchanged activities out of 5 per
+step).
+
+The speed gate is on the phase the cache controls: the summed wall time
+of the ``qassa.cluster`` spans (QASSA's local phase) of the cold arm over
+that of the cached arm.  The total select speedup is printed and written
+to the JSON, but not gated: it also holds the global phase, which the
+cache does not touch, so it shrinks whenever the local phase gets cheaper.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import time
 
 from repro.experiments.harness import Sweep
 from repro.experiments.reporting import render_table
+from repro.observability import Observability, stage_breakdown
 from repro.qos.properties import STANDARD_PROPERTIES
 from repro.services.generator import ServiceGenerator
 from repro.composition.qassa import QASSA
@@ -78,16 +86,25 @@ def plan_signature(plan):
     )
 
 
+def local_phase_seconds(obs):
+    """Summed wall time of the ``qassa.cluster`` (local phase) spans."""
+    stage = stage_breakdown(obs.spans).get("qassa.cluster")
+    return stage["total_s"] if stage else 0.0
+
+
 def test_churn_reselection_speedup(benchmark, emit):
     task, generator, pools, request = build_world()
     cache = SelectionCache()
-    cached_selector = QASSA(PROPS, cache=cache)
+    cached_obs = Observability()
+    cold_obs = Observability()
+    cached_selector = QASSA(PROPS, cache=cache, observability=cached_obs)
 
     # Warm run: populates the cache (not timed — both arms pay it equally).
     warm_plan = cached_selector.select(request, CandidateSets(task, pools))
     assert warm_plan.feasible
+    cached_obs.reset()
 
-    sweep = Sweep("incremental_selection", x_label="churn_step")
+    sweep = Sweep("incremental_selection_steps", x_label="churn_step")
     rows = []
     cached_total = cold_total = 0.0
     hits = lookups = 0
@@ -101,7 +118,9 @@ def test_churn_reselection_speedup(benchmark, emit):
         cached_s = time.perf_counter() - started
 
         started = time.perf_counter()
-        cold_plan = QASSA(PROPS).select(request, candidates)
+        cold_plan = QASSA(PROPS, observability=cold_obs).select(
+            request, candidates
+        )
         cold_s = time.perf_counter() - started
 
         assert plan_signature(cached_plan) == plan_signature(cold_plan), (
@@ -119,14 +138,31 @@ def test_churn_reselection_speedup(benchmark, emit):
         sweep.add(step, cached_ms=cached_s * 1e3, cold_ms=cold_s * 1e3)
 
     speedup = cold_total / cached_total
+    cold_local = local_phase_seconds(cold_obs)
+    cached_local = local_phase_seconds(cached_obs)
+    local_speedup = cold_local / cached_local
     hit_rate = hits / lookups
     rows.append(["churn steps", CHURN_STEPS])
     rows.append(["services / activity", SERVICES_PER_ACTIVITY])
     rows.append(["cold total (ms)", cold_total * 1e3])
     rows.append(["cached total (ms)", cached_total * 1e3])
-    rows.append(["speedup", speedup])
+    rows.append(["total speedup", speedup])
+    rows.append(["cold local phase (ms)", cold_local * 1e3])
+    rows.append(["cached local phase (ms)", cached_local * 1e3])
+    rows.append(["local-phase speedup", local_speedup])
     rows.append(["local-phase hit rate", hit_rate])
 
+    totals = Sweep("incremental_selection", x_label="churn_steps")
+    totals.add(
+        CHURN_STEPS,
+        cold_ms=cold_total * 1e3,
+        cached_ms=cached_total * 1e3,
+        speedup=speedup,
+        cold_local_ms=cold_local * 1e3,
+        cached_local_ms=cached_local * 1e3,
+        local_speedup=local_speedup,
+        hit_rate=hit_rate,
+    )
     emit(
         "incremental_selection",
         render_table(
@@ -135,12 +171,23 @@ def test_churn_reselection_speedup(benchmark, emit):
             title="Churn-step re-selection: SelectionCache on vs from-scratch "
                   f"({ACTIVITIES} activities x {SERVICES_PER_ACTIVITY} services)",
         ),
+        data=totals,
+    )
+    emit(
+        "incremental_selection_steps",
+        render_table(
+            ["churn step", "cached (ms)", "cold (ms)"],
+            [[p.x, p.values["cached_ms"], p.values["cold_ms"]]
+             for p in sweep.points],
+            title="Churn-step re-selection, per step",
+        ),
         data=sweep,
     )
 
     assert hit_rate >= 0.79, f"hit rate {hit_rate:.2f} below the 4/5 contract"
-    assert speedup >= 3.0, (
-        f"churn-step re-selection speedup {speedup:.2f}x is below the 3x bar"
+    assert local_speedup >= 3.0, (
+        f"churn-step local-phase speedup {local_speedup:.2f}x is below the "
+        "3x bar"
     )
 
     def one_cached_step(step=[CHURN_STEPS]):

@@ -29,7 +29,10 @@ signatures (service ids come from a process-global counter, so ids differ
 across worlds while the seeded names do not).
 
 Assertions: plan and report signatures equal request-by-request, and
-pooled req/s >= 2x serial req/s.
+pooled req/s >= 2x serial req/s.  The headline (serial and pooled req/s,
+their ratio and the host's core count) is appended to
+``BENCH_throughput.json`` as the ``throughput_headline`` sweep, next to
+the per-request latencies of the ``throughput`` sweep.
 
 A second axis (``test_backend_axis_process_vs_thread``) measures the
 execution-backend redesign on the *opposite* workload: every request is
@@ -42,6 +45,7 @@ byte-identical to serial on both backends.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 
@@ -215,6 +219,25 @@ def test_pooled_throughput_vs_serial(benchmark, emit):
         data=sweep,
     )
 
+    # The headline itself, tracked in BENCH_throughput.json.
+    headline = Sweep("throughput_headline", x_label="workers")
+    headline.add(
+        WORKERS,
+        serial_rps=serial_rps,
+        pooled_rps=pooled_rps,
+        speedup=speedup,
+        cores=os.cpu_count() or 1,
+    )
+    emit(
+        "throughput_headline",
+        render_table(
+            ["metric", "value"],
+            [[key, value] for key, value in headline.points[0].values.items()],
+            title=f"Runtime throughput headline ({WORKERS} workers)",
+        ),
+        data=headline,
+    )
+
     # Every distinct profile composes once; every repeat is coalesced.
     assert runtime.coalescer.computed == PROFILES, (
         f"{runtime.coalescer.computed} compositions for {PROFILES} profiles"
@@ -301,8 +324,6 @@ def _timed_backend_run(backend_name):
 
 
 def test_backend_axis_process_vs_thread(emit):
-    import os
-
     # --- serial reference: the plans both backends must reproduce ----------
     middleware_serial, requests_serial, _ = build_unique_world()
     serial_plans = [

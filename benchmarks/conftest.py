@@ -34,6 +34,7 @@ REPO_ROOT = pathlib.Path(__file__).parent.parent
 #: Sweep name -> repo-root trajectory file.
 TRACKED_BENCHMARKS = {
     "throughput": "BENCH_throughput.json",
+    "throughput_headline": "BENCH_throughput.json",
     "throughput_backend": "BENCH_throughput.json",
     "tail_latency": "BENCH_tail_latency.json",
     "chaos": "BENCH_chaos.json",

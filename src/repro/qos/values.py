@@ -10,11 +10,12 @@ N-dimensional Euclidean distance ``D`` used by the clustering phase.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import QoSModelError, UnitError
-from repro.qos.properties import QoSProperty
+from repro.qos.properties import Direction, QoSProperty
 from repro.qos.units import Unit, convert
 
 
@@ -169,3 +170,72 @@ class QoSVector:
             delta = (value - other[name]) / span
             total += delta * delta
         return math.sqrt(total)
+
+
+def non_dominated_indexes(vectors: Sequence[QoSVector]) -> List[int]:
+    """Indexes, in input order, of the vectors no other vector dominates.
+
+    Returns exactly what comparing every pair with
+    :meth:`QoSVector.dominates` returns.  When that would keep nothing
+    (possible only where dominance is cyclic), every index is kept.
+
+    A sort-filter skyline: each vector becomes a tuple of direction-signed
+    values (lower is better everywhere), the tuples are sorted
+    lexicographically, so a dominator always precedes what it dominates,
+    and each row is compared only against the front kept so far.  Cost
+    O(n log n + n·h), where h is the front size.
+
+    It falls back to the O(n²) pairwise comparison when the skyline's
+    premises fail: when the vectors do not all share one property set
+    with one direction per property (dominance over *shared* properties
+    is not transitive), or when a value is not finite (NaN has no place
+    in the sort order).
+    """
+    rows = _signed_rows(vectors)
+    if rows is None:
+        keep = [
+            i for i, v in enumerate(vectors)
+            if not any(j != i and w.dominates(v) for j, w in enumerate(vectors))
+        ]
+        return keep or list(range(len(vectors)))
+    # A dominator's signed tuple is no larger anywhere and smaller somewhere,
+    # so it is lexicographically smaller and sorts strictly first.
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    front: List[Tuple[float, ...]] = []
+    keep = []
+    for i in order:
+        row = rows[i]
+        for kept in front:
+            if kept != row and all(map(operator.le, kept, row)):
+                break
+        else:
+            front.append(row)
+            keep.append(i)
+    keep.sort()
+    return keep
+
+
+def _signed_rows(
+    vectors: Sequence[QoSVector],
+) -> Optional[List[Tuple[float, ...]]]:
+    """Each vector as a lower-is-better tuple, or None where the skyline
+    does not apply (property sets or directions differ, or a value is not
+    finite)."""
+    if not vectors:
+        return []
+    first = vectors[0]
+    names = list(first._values)
+    directions = [first._properties[n].direction for n in names]
+    signs = [1.0 if d is Direction.NEGATIVE else -1.0 for d in directions]
+    rows = []
+    for v in vectors:
+        if v._values.keys() != first._values.keys() or any(
+            v._properties[n].direction is not d
+            for n, d in zip(names, directions)
+        ):
+            return None
+        row = tuple([s * v._values[n] for n, s in zip(names, signs)])
+        if not all(map(math.isfinite, row)):
+            return None
+        rows.append(row)
+    return rows
